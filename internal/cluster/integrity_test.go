@@ -83,7 +83,7 @@ func findMoveTamper(t *testing.T, walPath string, g *spec.Grammar) []byte {
 		}
 		var recs []wal.Record
 		if _, _, err := wal.Scan(tmp, func(_ int, rec wal.Record) error {
-			recs = append(recs, rec)
+			recs = append(recs, rec.Clone())
 			return nil
 		}); err != nil {
 			return false

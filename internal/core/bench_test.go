@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,16 +66,23 @@ func BenchmarkDerivationLabeling(b *testing.B) {
 }
 
 // BenchmarkExecutionInsert measures per-insertion cost of the
-// execution-based labeler (the paper's O(1)-per-insertion claim).
+// execution-based labeler (the paper's O(1)-per-insertion claim) and
+// its allocations, on a small run and on one whose slot-parent chains
+// are long.
 func BenchmarkExecutionInsert(b *testing.B) {
-	g, _, evs := benchSetup(b, 8192)
-	b.ResetTimer()
-	events := 0
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LabelExecution(g, evs, skeleton.TCL, core.RModeDesignated); err != nil {
-			b.Fatal(err)
-		}
-		events += len(evs)
+	for _, size := range []int{8 << 10, 128 << 10} {
+		b.Run(fmt.Sprintf("events=%dk", size>>10), func(b *testing.B) {
+			g, _, evs := benchSetup(b, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			events := 0
+			for i := 0; i < b.N; i++ {
+				if _, err := core.LabelExecution(g, evs, skeleton.TCL, core.RModeDesignated); err != nil {
+					b.Fatal(err)
+				}
+				events += len(evs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/insert")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/insert")
 }

@@ -17,11 +17,16 @@
 // changes), and the skeleton.Scheme plus the grammar are read-only
 // after construction, so Pi may be evaluated concurrently on
 // previously issued labels while new vertices are still being
-// inserted. Accessors that read labeler-internal maps (Label,
-// MustLabel, Reach, LabelCount) race with concurrent Insert calls and
-// need the same serialization; concurrent services should instead copy
-// each label into their own read-side store as Insert returns it —
-// that is the discipline internal/service implements.
+// inserted.
+//
+// A labeler keeps no map of issued labels: per run vertex it holds
+// only the context instance and spec vertex future insertions need.
+// Label and MustLabel rebuild a label from that context in O(d_t) and
+// allocate it afresh on every call. They, Reach and LabelCount read
+// labeler-internal state, so they race with concurrent Insert calls
+// and need the same serialization; concurrent services should instead
+// copy each label into their own read-side store as Insert returns it
+// — that is the discipline internal/service implements.
 package core
 
 import (
@@ -57,18 +62,22 @@ func (m RMode) String() string {
 }
 
 // base holds the state shared by the derivation-based and
-// execution-based labelers: the explicit parse tree, the issued
-// labels, and the bookkeeping from run vertices to tree instances.
+// execution-based labelers: the explicit parse tree, the bookkeeping
+// from run vertices to tree instances, and per-graph tables computed
+// once from the grammar.
 type base struct {
 	g    *spec.Grammar
 	skel *skeleton.Scheme
-	mode RMode
 
-	root   *parsetree.Node
-	labels map[graph.VertexID]label.Label
+	root *parsetree.Node
 	// ctx maps a run vertex to its context instance and spec vertex
 	// (Definition 11: the instance whose annotated graph contains it).
+	// A vertex's label is its instance's prefix plus memberEntry, so
+	// ctx is also the record of every label issued.
 	ctx map[graph.VertexID]memberRef
+	// tables holds the static facts about each specification graph,
+	// indexed by GraphID.
+	tables []graphTable
 }
 
 type memberRef struct {
@@ -76,23 +85,69 @@ type memberRef struct {
 	sv   graph.VertexID
 }
 
+// graphTable caches the facts about one specification graph that bind
+// and the candidate search need on every insertion, so they cost an
+// index instead of name-map lookups, vertex scans or skeleton π.
+type graphTable struct {
+	g            *graph.Graph
+	source, sink graph.VertexID
+	// designated is the R-compressed recursive vertex under the
+	// labeler's mode (graph.None if there is none).
+	designated graph.VertexID
+	// composite marks the composite vertices; slots lists them
+	// (including the designated recursive vertex) in vertex order.
+	composite []bool
+	slots     []graph.VertexID
+	// rec1[v] = π_G(v, w) and rec2[v] = π_G(w, v) for the designated
+	// vertex w; nil when designated is graph.None.
+	rec1, rec2 []bool
+}
+
 func newBase(g *spec.Grammar, kind skeleton.Kind, mode RMode) base {
-	return base{
-		g:      g,
-		skel:   skeleton.New(kind, g),
-		mode:   mode,
-		labels: make(map[graph.VertexID]label.Label),
-		ctx:    make(map[graph.VertexID]memberRef),
+	b := base{
+		g:    g,
+		skel: skeleton.New(kind, g),
+		ctx:  make(map[graph.VertexID]memberRef),
 	}
+	graphs := g.Spec().Graphs()
+	b.tables = make([]graphTable, len(graphs))
+	for id, ng := range graphs {
+		gid := spec.GraphID(id)
+		t := graphTable{
+			g:          ng.G,
+			source:     ng.G.Source(),
+			sink:       ng.G.Sink(),
+			designated: graph.None,
+			composite:  make([]bool, ng.G.NumVertices()),
+		}
+		if mode != RModeNone {
+			t.designated = g.Designated(gid)
+		}
+		for v := range t.composite {
+			if g.Spec().Kind(ng.G.Name(graph.VertexID(v))).Composite() {
+				t.composite[v] = true
+				t.slots = append(t.slots, graph.VertexID(v))
+			}
+		}
+		if w := t.designated; w != graph.None {
+			t.rec1 = make([]bool, len(t.composite))
+			t.rec2 = make([]bool, len(t.composite))
+			for v := range t.rec1 {
+				sv := spec.VertexRef{Graph: gid, V: graph.VertexID(v)}
+				wv := spec.VertexRef{Graph: gid, V: w}
+				t.rec1[v] = b.skel.Pi(sv, wv)
+				t.rec2[v] = b.skel.Pi(wv, sv)
+			}
+		}
+		b.tables[id] = t
+	}
+	return b
 }
 
 // designatedOf returns the R-compressed recursive vertex of a graph
 // under the current mode.
 func (b *base) designatedOf(id spec.GraphID) graph.VertexID {
-	if b.mode == RModeNone {
-		return graph.None
-	}
-	return b.g.Designated(id)
+	return b.tables[id].designated
 }
 
 // memberEntry builds the Algorithm 1 entry for spec vertex sv of
@@ -102,10 +157,10 @@ func (b *base) designatedOf(id spec.GraphID) graph.VertexID {
 // recursion flags rec1 = π_G(sv, w) and rec2 = π_G(w, sv).
 func (b *base) memberEntry(x *parsetree.Node, sv graph.VertexID) label.Entry {
 	e := label.Entry{Index: x.Index, Type: label.N, Skl: spec.VertexRef{Graph: x.Graph, V: sv}}
-	if w := b.designatedOf(x.Graph); w != graph.None {
+	if t := &b.tables[x.Graph]; t.designated != graph.None {
 		e.HasRec = true
-		e.Rec1 = b.skel.Pi(spec.VertexRef{Graph: x.Graph, V: sv}, spec.VertexRef{Graph: x.Graph, V: w})
-		e.Rec2 = b.skel.Pi(spec.VertexRef{Graph: x.Graph, V: w}, spec.VertexRef{Graph: x.Graph, V: sv})
+		e.Rec1 = t.rec1[sv]
+		e.Rec2 = t.rec2[sv]
 	}
 	return e
 }
@@ -122,32 +177,35 @@ func (b *base) bind(x *parsetree.Node, sv, v graph.VertexID) label.Label {
 	if x.RunOf[sv] != graph.None {
 		panic(fmt.Sprintf("core: spec vertex %d of instance already materialized", sv))
 	}
-	if _, dup := b.labels[v]; dup {
+	x.RunOf[sv] = v
+	n := len(b.ctx)
+	b.ctx[v] = memberRef{x, sv}
+	if len(b.ctx) == n { // one map operation both inserts and detects a duplicate
 		panic(fmt.Sprintf("core: run vertex %d labeled twice", v))
 	}
-	x.RunOf[sv] = v
-	l := x.Prefix.Append(b.memberEntry(x, sv))
-	b.labels[v] = l
-	b.ctx[v] = memberRef{x, sv}
-	return l
+	return x.Prefix.Append(b.memberEntry(x, sv))
 }
 
-// Label returns the reachability label of a run vertex.
+// Label returns the reachability label of a run vertex, rebuilt from
+// its context: the same label bind issued, in a fresh allocation.
 func (b *base) Label(v graph.VertexID) (label.Label, bool) {
-	l, ok := b.labels[v]
-	return l, ok
+	ref, ok := b.ctx[v]
+	if !ok {
+		return label.Label{}, false
+	}
+	return ref.node.Prefix.Append(b.memberEntry(ref.node, ref.sv)), true
 }
 
 // MustLabel returns the label of v, panicking if v was never labeled.
 func (b *base) MustLabel(v graph.VertexID) label.Label {
-	l, ok := b.labels[v]
+	l, ok := b.Label(v)
 	if !ok {
 		panic(fmt.Sprintf("core: vertex %d has no label", v))
 	}
 	return l
 }
 
-// Reach answers v ;* w from the stored labels (π of Algorithm 4).
+// Reach answers v ;* w from the two vertices' labels (π of Algorithm 4).
 func (b *base) Reach(v, w graph.VertexID) bool {
 	return Pi(b.skel, b.MustLabel(v), b.MustLabel(w))
 }
@@ -165,11 +223,11 @@ func (b *base) Skeleton() *skeleton.Scheme { return b.skel }
 func (b *base) Grammar() *spec.Grammar { return b.g }
 
 // LabelCount returns the number of labels issued so far.
-func (b *base) LabelCount() int { return len(b.labels) }
+func (b *base) LabelCount() int { return len(b.ctx) }
 
 // graphOf returns the specification graph of an instance node.
 func (b *base) graphOf(x *parsetree.Node) *graph.Graph {
-	return b.g.Spec().Graph(x.Graph).G
+	return b.tables[x.Graph].g
 }
 
 // startRoot creates the root instance annotated with g0.

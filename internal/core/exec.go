@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wfreach/internal/graph"
 	"wfreach/internal/label"
@@ -35,6 +35,13 @@ type ExecutionLabeler struct {
 	// namedChecked caches the NameResolvable validation for
 	// InsertNamed.
 	namedChecked bool
+
+	// Scratch reused by every insertion: epoch stamps the parse-tree
+	// nodes one candidates walk has visited, cand holds that walk's
+	// output, and exp the expected predecessors of one slot.
+	epoch uint64
+	cand  []*parsetree.Node
+	exp   []graph.VertexID
 }
 
 // NewExecutionLabeler builds an execution-based labeler.
@@ -47,14 +54,14 @@ func NewExecutionLabeler(g *spec.Grammar, kind skeleton.Kind, mode RMode) *Execu
 // (Definition 8). It returns the vertex's final label.
 func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 	gid, sv := ev.Ref.Graph, ev.Ref.V
-	if gid < 0 || int(gid) >= len(e.g.Spec().Graphs()) {
+	if gid < 0 || int(gid) >= len(e.tables) {
 		return label.Label{}, fmt.Errorf("core: event names unknown graph %d", gid)
 	}
-	gg := e.g.Spec().Graph(gid).G
-	if !gg.Valid(sv) {
+	t := &e.tables[gid]
+	if !t.g.Valid(sv) {
 		return label.Label{}, fmt.Errorf("core: event names unknown vertex %d of graph %d", sv, gid)
 	}
-	if _, dup := e.labels[ev.V]; dup {
+	if _, dup := e.ctx[ev.V]; dup {
 		return label.Label{}, fmt.Errorf("core: run vertex %d inserted twice", ev.V)
 	}
 	for _, p := range ev.Preds {
@@ -65,7 +72,7 @@ func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 
 	// Bootstrap: the very first insertion must be g0's source.
 	if e.root == nil {
-		if gid != spec.StartGraph || sv != gg.Source() || len(ev.Preds) != 0 {
+		if gid != spec.StartGraph || sv != t.source || len(ev.Preds) != 0 {
 			return label.Label{}, fmt.Errorf("core: execution must start with the source of g0")
 		}
 		root := e.startRoot()
@@ -76,7 +83,7 @@ func (e *ExecutionLabeler) Insert(ev run.Event) (label.Label, error) {
 		return label.Label{}, fmt.Errorf("core: only the source of g0 has no predecessors")
 	}
 
-	if gid != spec.StartGraph && sv == gg.Source() {
+	if gid != spec.StartGraph && sv == t.source {
 		return e.insertSource(ev)
 	}
 	return e.insertMember(ev)
@@ -109,8 +116,9 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 	implKind := e.g.Spec().Kind(ng.Owner)
 
 	for _, y := range e.candidates(ev.Preds) {
+		slots := e.tables[y.Graph].slots
 		// Continuations of this instance's open loop/fork groups.
-		for _, cu := range e.compositeSlots(y) {
+		for _, cu := range slots {
 			gx := y.Groups[cu]
 			if gx == nil || gx.Kind == label.R || !gx.IsSpecial() {
 				continue
@@ -118,34 +126,28 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 			if len(gx.Children) == 0 || gx.Children[0].Graph != gid {
 				continue
 			}
-			var expected []graph.VertexID
 			if gx.Kind == label.L {
 				// The next series copy is fed by the last copy's sink.
-				last := gx.Children[len(gx.Children)-1]
-				snk := last.RunOf[e.graphOf(last).Sink()]
-				if snk == graph.None {
+				snk := e.sinkOf(gx.Children[len(gx.Children)-1])
+				if snk == graph.None || len(ev.Preds) != 1 || ev.Preds[0] != snk {
 					continue
 				}
-				expected = []graph.VertexID{snk}
 			} else {
 				// Parallel copies all share the slot's own predecessors.
 				exp, ok := e.expectedPreds(y, cu)
-				if !ok {
+				if !ok || !sameIDSet(exp, ev.Preds) {
 					continue
 				}
-				expected = exp
 			}
-			if sameIDSet(expected, ev.Preds) {
-				x := gx.AddInstance(gid, ng.G.NumVertices(), gx.NextIndex())
-				x.Prefix = gx.Prefix
-				x.SlotParent, x.SlotVertex = y, cu
-				return e.bind(x, ng.G.Source(), ev.V), nil
-			}
+			x := gx.AddInstance(gid, ng.G.NumVertices(), gx.NextIndex())
+			x.Prefix = gx.Prefix
+			x.SlotParent, x.SlotVertex = y, cu
+			return e.bind(x, e.tables[gid].source, ev.V), nil
 		}
 		// Fresh expansions of this instance's unexpanded slots (which
 		// include the designated recursive vertex, whose expansion
 		// extends the enclosing R chain).
-		for _, cu := range e.compositeSlots(y) {
+		for _, cu := range slots {
 			if y.Groups[cu] != nil {
 				continue
 			}
@@ -160,7 +162,7 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 			if err != nil {
 				return label.Label{}, err
 			}
-			return e.bind(x, ng.G.Source(), ev.V), nil
+			return e.bind(x, e.tables[gid].source, ev.V), nil
 		}
 	}
 	return label.Label{}, fmt.Errorf("core: no slot accepts source of g%d (vertex %d)", gid, ev.V)
@@ -169,11 +171,6 @@ func (e *ExecutionLabeler) insertSource(ev run.Event) (label.Label, error) {
 // expandSlot creates the tree structure for the first copy of slot cu
 // of instance y, mirroring Algorithm 2's four cases.
 func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid spec.GraphID, vertices int, kind spec.Kind) (*parsetree.Node, error) {
-	uLabel := y.Prefix.Append(e.memberEntry(y, cu)) // φ_g(u), recomputed
-	if u := y.RunOf[cu]; u != graph.None {
-		uLabel = e.MustLabel(u)
-	}
-
 	if e.designatedOf(y.Graph) == cu {
 		// Recursion-chain continuation: next child of the enclosing R.
 		rx := y.Parent
@@ -186,6 +183,7 @@ func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid 
 		y.Groups[cu] = x
 		return x, nil
 	}
+	uLabel := y.Prefix.Append(e.memberEntry(y, cu)) // φ_g(u)
 	switch {
 	case kind == spec.Loop || kind == spec.Fork:
 		t := label.L
@@ -218,36 +216,26 @@ func (e *ExecutionLabeler) expandSlot(y *parsetree.Node, cu graph.VertexID, gid 
 
 // candidates returns the instances to try for an event, walking the
 // slot-parent chain bottom-up from each predecessor's context, without
-// duplicates.
+// duplicates. A fresh epoch stamp marks the nodes this walk visited,
+// so each chain is cut where it meets one already walked in O(1) per
+// node. The result aliases a buffer the next call overwrites.
 func (e *ExecutionLabeler) candidates(preds []graph.VertexID) []*parsetree.Node {
-	var out []*parsetree.Node
-	seen := make(map[*parsetree.Node]bool)
+	e.epoch++
+	out := e.cand[:0]
 	for _, p := range preds {
 		ref, ok := e.ctx[p]
 		if !ok {
 			continue
 		}
 		for x := ref.node; x != nil; x = x.SlotParent {
-			if seen[x] {
+			if x.Visited == e.epoch {
 				break // the rest of the chain was already visited
 			}
-			seen[x] = true
+			x.Visited = e.epoch
 			out = append(out, x)
 		}
 	}
-	return out
-}
-
-// compositeSlots lists the composite vertices of an instance's graph,
-// including the designated recursive vertex, in vertex order.
-func (e *ExecutionLabeler) compositeSlots(y *parsetree.Node) []graph.VertexID {
-	gg := e.graphOf(y)
-	var out []graph.VertexID
-	for v := 0; v < gg.NumVertices(); v++ {
-		if e.g.Spec().Kind(gg.Name(graph.VertexID(v))).Composite() {
-			out = append(out, graph.VertexID(v))
-		}
-	}
+	e.cand = out
 	return out
 }
 
@@ -267,12 +255,13 @@ func (e *ExecutionLabeler) implements(gid spec.GraphID, name string) bool {
 // last copy's sink for a loop, every copy's sink for a fork, the first
 // chain member's sink for a recursion (nested members replace vertices
 // inside it), and the single instance's sink otherwise. ok is false
-// while some needed piece is not yet materialized.
+// while some needed piece is not yet materialized. The result aliases
+// a buffer the next call overwrites.
 func (e *ExecutionLabeler) expectedPreds(y *parsetree.Node, sv graph.VertexID) ([]graph.VertexID, bool) {
-	gg := e.graphOf(y)
-	var out []graph.VertexID
-	for _, p := range gg.In(sv) {
-		if !e.g.Spec().Kind(gg.Name(p)).Composite() {
+	t := &e.tables[y.Graph]
+	out := e.exp[:0]
+	for _, p := range t.g.In(sv) {
+		if !t.composite[p] {
 			r := y.RunOf[p]
 			if r == graph.None {
 				return nil, false
@@ -284,76 +273,79 @@ func (e *ExecutionLabeler) expectedPreds(y *parsetree.Node, sv graph.VertexID) (
 		if gx == nil {
 			return nil, false
 		}
-		sinks, ok := e.expansionSinks(gx)
-		if !ok {
+		var ok bool
+		if out, ok = e.appendExpansionSinks(out, gx); !ok {
 			return nil, false
 		}
-		out = append(out, sinks...)
 	}
+	e.exp = out
 	return out, true
 }
 
-// expansionSinks returns the run sinks of a slot expansion.
-func (e *ExecutionLabeler) expansionSinks(gx *parsetree.Node) ([]graph.VertexID, bool) {
-	sinkOf := func(x *parsetree.Node) (graph.VertexID, bool) {
-		s := x.RunOf[e.graphOf(x).Sink()]
-		return s, s != graph.None
-	}
+// appendExpansionSinks appends the run sinks of a slot expansion to
+// out; ok is false while one of them is not yet materialized.
+func (e *ExecutionLabeler) appendExpansionSinks(out []graph.VertexID, gx *parsetree.Node) (_ []graph.VertexID, ok bool) {
+	var s graph.VertexID
 	switch gx.Kind {
 	case label.N:
 		// Plain instance, or the first member of an R chain reached via
 		// Groups (chain members nest inside it, so its sink is the
 		// expansion's sink either way).
-		s, ok := sinkOf(gx)
-		if !ok {
-			return nil, false
-		}
-		return []graph.VertexID{s}, true
+		s = e.sinkOf(gx)
 	case label.L:
 		if len(gx.Children) == 0 {
-			return nil, false
+			return out, false
 		}
-		s, ok := sinkOf(gx.Children[len(gx.Children)-1])
-		if !ok {
-			return nil, false
-		}
-		return []graph.VertexID{s}, true
+		s = e.sinkOf(gx.Children[len(gx.Children)-1])
 	case label.F:
-		var out []graph.VertexID
 		for _, c := range gx.Children {
-			s, ok := sinkOf(c)
-			if !ok {
-				return nil, false
+			if s = e.sinkOf(c); s == graph.None {
+				return out, false
 			}
 			out = append(out, s)
 		}
 		return out, true
 	default: // label.R
 		if len(gx.Children) == 0 {
-			return nil, false
+			return out, false
 		}
-		s, ok := sinkOf(gx.Children[0])
-		if !ok {
-			return nil, false
-		}
-		return []graph.VertexID{s}, true
+		s = e.sinkOf(gx.Children[0])
 	}
+	if s == graph.None {
+		return out, false
+	}
+	return append(out, s), true
 }
 
+// sinkOf returns the run vertex of an instance's sink, or graph.None
+// while it is not yet materialized.
+func (e *ExecutionLabeler) sinkOf(x *parsetree.Node) graph.VertexID {
+	return x.RunOf[e.tables[x.Graph].sink]
+}
+
+// sameIDSet reports whether a and b hold the same vertex multiset.
+// Sets of up to eight are sorted in stack arrays, so the common case
+// allocates nothing.
 func sameIDSet(a, b []graph.VertexID) bool {
-	if len(a) != len(b) {
+	n := len(a)
+	if n != len(b) {
 		return false
 	}
-	as := append([]graph.VertexID(nil), a...)
-	bs := append([]graph.VertexID(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
+	if n == 1 {
+		return a[0] == b[0]
 	}
-	return true
+	var as, bs []graph.VertexID
+	if n <= 8 {
+		var sa, sb [8]graph.VertexID
+		as, bs = sa[:n], sb[:n]
+		copy(as, a)
+		copy(bs, b)
+	} else {
+		as, bs = slices.Clone(a), slices.Clone(b)
+	}
+	slices.Sort(as)
+	slices.Sort(bs)
+	return slices.Equal(as, bs)
 }
 
 // LabelExecution drives a full execution through a fresh labeler,

@@ -394,10 +394,17 @@ func runScenario(ctx context.Context, sc Scenario, def Defaults, scratch string)
 			go func(seed int64) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed))
+				// A reader makes at least one query once the writer has
+				// published something, so a writer that finishes before the
+				// reader first wakes cannot leave the query gates without
+				// samples.
+				asked := false
 				for n := 0; ; n++ {
 					select {
 					case <-done:
-						return
+						if asked || watermark.Load() < 2 {
+							return
+						}
 					default:
 					}
 					wm := watermark.Load()
@@ -410,6 +417,7 @@ func runScenario(ctx context.Context, sc Scenario, def Defaults, scratch string)
 						t0 := time.Now()
 						_, err := t.read.Lineage(ctx, l.name, v)
 						queryHist.Add(time.Since(t0))
+						asked = true
 						if err != nil {
 							queryErrs.Add(1)
 							time.Sleep(time.Millisecond) // a lagging replica is not a spin target
@@ -429,6 +437,7 @@ func runScenario(ctx context.Context, sc Scenario, def Defaults, scratch string)
 					t0 := time.Now()
 					answers, err := t.read.ReachBatch(ctx, l.name, pairs)
 					queryHist.Add(time.Since(t0))
+					asked = true
 					if err != nil {
 						queryErrs.Add(1)
 						time.Sleep(time.Millisecond) // session not yet on the replica, most likely

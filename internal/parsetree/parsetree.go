@@ -49,6 +49,11 @@ type Node struct {
 	// node's own temporary label φ_g(x) (Algorithm 3); for instance
 	// nodes, the prefix to which a member's final entry is appended.
 	Prefix label.Label
+
+	// Visited is a traversal stamp owned by the labeler that builds the
+	// tree: a walk marks each node with its own fresh epoch, so "seen
+	// in this walk" is one comparison and needs no per-walk set.
+	Visited uint64
 }
 
 // NewRoot creates the root instance annotated with the start graph.

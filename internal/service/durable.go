@@ -824,6 +824,9 @@ func (r *Registry) restoreSession(sdir, dirName string) (*Session, error) {
 		log.SeedChain(chainSeed)
 		s.attachWAL(sdir, log, r.durable, r.committer)
 	}
+	if s.needLabelerReplay {
+		s.replayDeferred()
+	}
 	r.metrics.restores.Inc()
 	r.metrics.restoreSec.Observe(time.Since(restoreStart))
 	if n := int64(s.store.ArenaCount()); n > 0 {

@@ -41,6 +41,10 @@ type nodeMetrics struct {
 	chainFrames    *obs.Counter
 	chainVerifySec *obs.Histogram
 
+	replayRecords *obs.Counter
+	replaySec     *obs.Histogram
+	replayPending *obs.Gauge
+
 	replicaLagEvents  *obs.Gauge
 	replicaLagSeconds *obs.FloatGauge
 	moves             *obs.CounterVec
@@ -67,6 +71,10 @@ func newNodeMetrics(r *obs.Registry) *nodeMetrics {
 
 		chainFrames:    r.Counter("wf_chain_verify_frames_total", "WAL frames hashed during chain verification."),
 		chainVerifySec: r.Histogram("wf_chain_verify_seconds", "Chain verification pass duration."),
+
+		replayRecords: r.Counter("wf_labeler_replay_records_total", "WAL records replayed through the labeler by deferred replays after arena restores."),
+		replaySec:     r.Histogram("wf_labeler_replay_seconds", "Deferred labeler replay duration (paid by the first ingest after an arena restore)."),
+		replayPending: r.Gauge("wf_sessions_replay_pending", "Restored sessions whose deferred labeler replay has not run yet."),
 
 		replicaLagEvents:  r.Gauge("wf_replica_lag_events", "Worst follower tail lag across sessions, in events."),
 		replicaLagSeconds: r.FloatGauge("wf_replica_lag_seconds", "Approximate follower tail lag, in seconds."),
@@ -166,6 +174,32 @@ func (s *Session) observeSnapshot(start time.Time, err error) {
 	}
 	s.metrics.snapWrites.Inc()
 	s.metrics.snapWriteSec.Observe(time.Since(start))
+}
+
+// replayDeferred counts a restored session whose labeler replay waits
+// for its first ingest.
+func (s *Session) replayDeferred() {
+	if s.metrics != nil {
+		s.replayCounted.Store(true)
+		s.metrics.replayPending.Add(1)
+	}
+}
+
+// replaySettled takes the session out of the pending count, once:
+// when its replay ran, or when it was deleted first.
+func (s *Session) replaySettled() {
+	if s.metrics != nil && s.replayCounted.CompareAndSwap(true, false) {
+		s.metrics.replayPending.Add(-1)
+	}
+}
+
+// observeReplay records one completed deferred labeler replay.
+func (s *Session) observeReplay(start time.Time, records int64) {
+	if s.metrics != nil {
+		s.metrics.replayRecords.Add(records)
+		s.metrics.replaySec.Observe(time.Since(start))
+	}
+	s.replaySettled()
 }
 
 // chainVerified records one hash-chain verification pass over frames

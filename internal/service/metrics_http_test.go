@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +59,27 @@ func parseProm(t *testing.T, body string) map[string]float64 {
 	return out
 }
 
+// scrapeMetrics GETs /v1/metrics and parses it strictly.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scrape: %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("scrape content type %q", ct)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parseProm(t, string(raw))
+}
+
 // TestMetricsEndpointUnderConcurrentIngest scrapes /v1/metrics in a
 // tight loop while a writer streams events into a session: every
 // scrape must be well-framed, ingest counters must be monotonic, and
@@ -106,24 +128,7 @@ func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 		writerDone <- nil
 	}()
 
-	scrapeOnce := func() map[string]float64 {
-		resp, err := http.Get(srv.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("scrape: %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-			t.Fatalf("scrape content type %q", ct)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return parseProm(t, string(raw))
-	}
+	scrapeOnce := func() map[string]float64 { return scrapeMetrics(t, srv.URL) }
 
 	const key = `wf_ingest_events_total{session="m"}`
 	var last float64
@@ -178,4 +183,72 @@ func TestMetricsEndpointUnderConcurrentIngest(t *testing.T) {
 	if final["wf_sessions"] != 1 {
 		t.Fatalf("wf_sessions = %g, want 1", final["wf_sessions"])
 	}
+}
+
+// TestLabelerReplayMetrics: an arena restore with an empty WAL tail
+// defers the labeler replay to the first ingest. The scrape shows the
+// session pending until that ingest, then the replayed record count
+// and one replay duration sample; deleting a still-pending session
+// also takes it out of the pending gauge.
+func TestLabelerReplayMetrics(t *testing.T) {
+	dir := t.TempDir()
+	g := compileBuiltin(t, "BioAID")
+	events, _ := genEvents(t, g, 300, 21)
+	cut := len(events) / 2
+
+	reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
+	s, err := reg.Create("lazy", g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, events[:cut], 41)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func() (*Registry, *httptest.Server) {
+		t.Helper()
+		reg := durableReg(t, dir, DurableOptions{SnapshotEvery: 1 << 20})
+		if _, err := reg.Restore(dir); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewHandler(reg))
+		t.Cleanup(srv.Close)
+		return reg, srv
+	}
+	check := func(m map[string]float64, pending, records, replays float64) {
+		t.Helper()
+		for name, want := range map[string]float64{
+			"wf_sessions_replay_pending":      pending,
+			"wf_labeler_replay_records_total": records,
+			"wf_labeler_replay_seconds_count": replays,
+		} {
+			if got, ok := m[name]; !ok || got != want {
+				t.Errorf("%s = %g (present %v), want %g", name, got, ok, want)
+			}
+		}
+	}
+
+	reg, srv := restore()
+	check(scrapeMetrics(t, srv.URL), 1, 0, 0)
+	wire := make([]WireEvent, len(events)-cut)
+	for i, ev := range events[cut:] {
+		wire[i] = ToWire(ev)
+	}
+	if code, raw := doJSON(t, "POST", srv.URL+"/v1/sessions/lazy/events", EventsRequest{Events: wire}, nil); code != http.StatusOK {
+		t.Fatalf("ingest after restore: %d %s", code, raw)
+	}
+	check(scrapeMetrics(t, srv.URL), 0, float64(cut), 1)
+	srv.Close()
+	if err := reg.Close(); err != nil { // final snapshot: the next restore defers again
+		t.Fatal(err)
+	}
+
+	reg, srv = restore()
+	defer reg.Close()
+	check(scrapeMetrics(t, srv.URL), 1, 0, 0)
+	if code, raw := doJSON(t, "DELETE", srv.URL+"/v1/sessions/lazy", nil, nil); code != http.StatusNoContent && code != http.StatusOK {
+		t.Fatalf("delete: %d %s", code, raw)
+	}
+	check(scrapeMetrics(t, srv.URL), 0, 0, 0)
 }

@@ -114,6 +114,7 @@ type Session struct {
 	// it from the log (ensureLabelerLocked) — queries never need it.
 	// Guarded by ingestMu.
 	needLabelerReplay bool
+	replayCounted     atomic.Bool    // counted in wf_sessions_replay_pending
 	committer         *wal.Committer // registry-wide group committer; nil on memory-only restore
 	walEvents         int64          // events appended to the log
 	snapEvents        int64          // events covered by the last snapshot
@@ -407,6 +408,7 @@ func (r *Registry) Delete(name string) bool {
 	r.metrics.sessions.Set(int64(len(r.sessions)))
 	r.mu.Unlock()
 	if ok {
+		s.replaySettled()
 		r.metrics.forgetSession(name)
 		if n := int64(s.store.ArenaCount()); n > 0 {
 			r.metrics.arenaMaps.Add(-1)
@@ -616,6 +618,7 @@ func (s *Session) ensureLabelerLocked() error {
 	if !s.needLabelerReplay {
 		return nil
 	}
+	start := time.Now()
 	target := s.walEvents
 	n := int64(0)
 	_, _, err := wal.Scan(s.walPath, func(i int, rec wal.Record) error {
@@ -645,6 +648,7 @@ func (s *Session) ensureLabelerLocked() error {
 		return s.ioErr
 	}
 	s.needLabelerReplay = false
+	s.observeReplay(start, n)
 	return nil
 }
 

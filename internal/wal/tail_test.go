@@ -166,7 +166,7 @@ func TestTailerHistoryThenLive(t *testing.T) {
 
 	// The delivered frames really are the log's decoded records.
 	var recs []Record
-	if _, _, err := Scan(path, func(_ int, r Record) error { recs = append(recs, r); return nil }); err != nil {
+	if _, _, err := Scan(path, func(_ int, r Record) error { recs = append(recs, r.Clone()); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	dec := make([]Record, 0, len(want))

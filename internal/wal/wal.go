@@ -41,6 +41,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,6 +91,14 @@ func RefRecord(ev run.Event) Record { return Record{Ref: ev} }
 
 // NamedRecord wraps a name-identified event as a Record.
 func NamedRecord(ev core.NamedEvent) Record { return Record{Named: true, NamedEv: ev} }
+
+// Clone returns a copy of the record that owns its predecessor slice —
+// what a Scan or ScanFrom callback must keep instead of rec itself.
+func (r Record) Clone() Record {
+	r.Ref.Preds = slices.Clone(r.Ref.Preds)
+	r.NamedEv.Preds = slices.Clone(r.NamedEv.Preds)
+	return r
+}
 
 // appendPayload encodes the record payload (no frame) onto buf.
 func appendPayload(buf []byte, rec Record) []byte {
@@ -141,7 +150,9 @@ func (r *payloadReader) vertex() (graph.VertexID, error) {
 	return graph.VertexID(v), nil
 }
 
-func (r *payloadReader) preds() ([]graph.VertexID, error) {
+// preds decodes a predecessor list into buf's backing array (growing
+// it if needed). An empty list decodes as nil.
+func (r *payloadReader) preds(buf []graph.VertexID) ([]graph.VertexID, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -152,7 +163,7 @@ func (r *payloadReader) preds() ([]graph.VertexID, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]graph.VertexID, n)
+	out := slices.Grow(buf[:0], int(n))[:n]
 	for i := range out {
 		if out[i], err = r.vertex(); err != nil {
 			return nil, err
@@ -183,7 +194,12 @@ func AppendFrame(buf []byte, rec Record) ([]byte, error) {
 
 // DecodeRecord parses one record payload (the bytes after a frame
 // header, already CRC-verified by the caller).
-func DecodeRecord(b []byte) (Record, error) {
+func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b, nil) }
+
+// decodeRecord is DecodeRecord decoding the predecessor list into
+// preds' backing array, so a scan can reuse one buffer for every
+// record.
+func decodeRecord(b []byte, preds []graph.VertexID) (Record, error) {
 	if len(b) == 0 {
 		return Record{}, fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
@@ -203,7 +219,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		if rec.Ref.Ref.V, err = r.vertex(); err != nil {
 			return Record{}, err
 		}
-		if rec.Ref.Preds, err = r.preds(); err != nil {
+		if rec.Ref.Preds, err = r.preds(preds); err != nil {
 			return Record{}, err
 		}
 		return rec, nil
@@ -222,7 +238,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		}
 		rec.NamedEv.Name = string(b[r.pos : r.pos+int(n)])
 		r.pos += int(n)
-		if rec.NamedEv.Preds, err = r.preds(); err != nil {
+		if rec.NamedEv.Preds, err = r.preds(preds); err != nil {
 			return Record{}, err
 		}
 		return rec, nil
@@ -239,6 +255,10 @@ func DecodeRecord(b []byte) (Record, error) {
 // the valid prefix (the offset Open should truncate to). A missing
 // file scans as empty. An error from fn aborts the scan and is
 // returned as-is.
+//
+// The scan decodes every record's predecessors into one reused
+// buffer: rec.Ref.Preds and rec.NamedEv.Preds are valid only until fn
+// returns. A callback that keeps a record keeps rec.Clone().
 func Scan(path string, fn func(i int, rec Record) error) (n int, validSize int64, err error) {
 	return ScanFrom(path, 0, fn)
 }
@@ -269,9 +289,17 @@ func ScanFrom(path string, offset int64, fn func(i int, rec Record) error) (n in
 		}
 	}
 
-	br := bufio.NewReader(f)
+	// A 256 KiB reader, as chainWalk uses, for long scans; a short
+	// tail (the common restore case) gets a buffer its own size, so
+	// probing an empty tail does not allocate and clear 256 KiB.
+	bufSize := int64(256 << 10)
+	if fi, err := f.Stat(); err == nil {
+		bufSize = min(bufSize, max(fi.Size()-offset, 4<<10))
+	}
+	br := bufio.NewReaderSize(f, int(bufSize))
 	var frame [8]byte
 	var payload []byte
+	var preds []graph.VertexID
 	for {
 		if _, err := io.ReadFull(br, frame[:]); err != nil {
 			return n, validSize, nil // EOF or torn frame: end of valid prefix
@@ -291,9 +319,16 @@ func ScanFrom(path string, offset int64, fn func(i int, rec Record) error) (n in
 		if crc32.ChecksumIEEE(payload) != sum {
 			return n, validSize, nil // bit rot or torn overwrite
 		}
-		rec, err := DecodeRecord(payload)
+		rec, err := decodeRecord(payload, preds)
 		if err != nil {
 			return n, validSize, nil // framed but malformed: treat as tail damage
+		}
+		p := rec.Ref.Preds
+		if rec.Named {
+			p = rec.NamedEv.Preds
+		}
+		if cap(p) > cap(preds) {
+			preds = p // keep the grown buffer for the next record
 		}
 		if fn != nil {
 			if err := fn(n, rec); err != nil {

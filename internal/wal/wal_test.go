@@ -48,7 +48,7 @@ func scanAll(t *testing.T, path string) ([]Record, int64) {
 		if i != len(got) {
 			t.Fatalf("record index %d, want %d", i, len(got))
 		}
-		got = append(got, rec)
+		got = append(got, rec.Clone())
 		return nil
 	})
 	if err != nil {
@@ -353,7 +353,7 @@ func TestScanFromBoundaries(t *testing.T) {
 			if i != len(got) {
 				t.Fatalf("offset %d: record index %d, want %d", off, i, len(got))
 			}
-			got = append(got, rec)
+			got = append(got, rec.Clone())
 			return nil
 		})
 		if err != nil {
@@ -423,7 +423,7 @@ func TestAppendBytesResume(t *testing.T) {
 	}
 	var got []Record
 	if _, _, err := ScanFrom(path, valid, func(i int, rec Record) error {
-		got = append(got, rec)
+		got = append(got, rec.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -433,5 +433,37 @@ func TestAppendBytesResume(t *testing.T) {
 	}
 	if fi, _ := os.Stat(path); fi.Size() != after {
 		t.Fatalf("file size %d, AppendBytes %d", fi.Size(), after)
+	}
+}
+
+// TestScanReusesPredecessorBuffer: a scan's allocations do not grow
+// with the record count — every reference record's predecessors decode
+// into one reused buffer — and a callback keeping rec.Clone() still
+// sees each record's own predecessors afterwards.
+func TestScanReusesPredecessorBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.wal")
+	recs := []Record{RefRecord(run.Event{V: 0})}
+	for v := 1; v < 2000; v++ {
+		recs = append(recs, RefRecord(run.Event{V: graph.VertexID(v), Ref: spec.VertexRef{Graph: 1, V: 2},
+			Preds: []graph.VertexID{graph.VertexID(v - 1), graph.VertexID(v / 2)}}))
+	}
+	writeLog(t, path, recs)
+	allocs := testing.AllocsPerRun(3, func() {
+		if n, _, err := Scan(path, func(int, Record) error { return nil }); err != nil || n != len(recs) {
+			t.Fatalf("scan: n=%d err=%v", n, err)
+		}
+	})
+	if allocs > 20 {
+		t.Fatalf("scanning %d records took %.0f allocations, want a constant ≤ 20", len(recs), allocs)
+	}
+	var kept []Record
+	if _, _, err := Scan(path, func(_ int, rec Record) error {
+		kept = append(kept, rec.Clone())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kept, recs) {
+		t.Fatal("cloned records differ from the appended ones")
 	}
 }
